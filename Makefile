@@ -16,6 +16,7 @@
 #   make corners     - regenerate BENCH_corners.json (multi-corner sign-off scaling)
 #   make scale       - regenerate BENCH_scale.json (mono vs partition-parallel XL scaling)
 #   make eco         - regenerate BENCH_eco.json (full vs incremental re-synthesis)
+#   make perfbench   - 3s run of each BENCHMARK.json workload; fails unless correct with no failed ops
 #
 # Bench regression gate (used by CI and the nightly workflow):
 #   go run ./cmd/benchgen -compare BENCH_eco.json /tmp/new.json -max-regress 15%
@@ -27,7 +28,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: all build test vet ci race fuzz golden golden-update staticcheck vulncheck smoke bench report load chaos cluster metrics persist corners scale eco
+.PHONY: all build test vet ci race fuzz golden golden-update staticcheck vulncheck smoke bench report load chaos cluster metrics persist corners scale eco perfbench
 
 all: ci
 
@@ -125,6 +126,15 @@ scale:
 # those ratios are not worker-count invariant.
 eco:
 	$(GO) run ./cmd/benchgen -eco-out BENCH_eco.json -eco-workers 1
+
+# The benchmark's own correctness checks, on a short run of each workload:
+# cismoke reads the result line and fails unless it reports correct outputs
+# and no failed operations (a run that dies before printing one fails too).
+perfbench:
+	@for w in table2-mono xl-eco serve-http; do \
+		echo "perfbench $$w"; \
+		bash perfbench/run.sh --workload $$w --seed 1 --seconds 3 | $(GO) run ./cmd/cismoke perfbench || exit 1; \
+	done
 
 bench:
 	$(GO) test -run xxx -bench 'BenchmarkSubstrates|BenchmarkParallelSynthesize|BenchmarkPartitionSynthesize' -benchmem .

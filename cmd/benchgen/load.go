@@ -197,7 +197,7 @@ func runLoad(path string, jobs, conc, distinct int) error {
 		Metrics:       metricsAfter,
 		Notes: []string{
 			"end-to-end HTTP sync requests against an in-process dsctsd over loopback; latency includes queueing, JSON and the synthesis itself",
-			"requests are drawn round-robin from the distinct pool, so repeats past the first pass are content-addressed cache hits (identical requests in flight concurrently may both miss)",
+			"requests are drawn round-robin from the distinct pool, so repeats past the first pass are content-addressed cache hits (an identical request that arrives while the first copy runs follows it and finishes with its result, counted as coalesced)",
 			"results are worker-budget independent (bit-identical Metrics), so MaxRunning only trades latency against throughput",
 		},
 	}

@@ -17,6 +17,7 @@
 //	cismoke persist BENCH_persist.json
 //	cismoke warm BENCH_chaos.json
 //	cismoke allocs -max-regress 15 BENCH_parallel.json /tmp/BENCH_parallel_new.json
+//	bash perfbench/run.sh --workload serve-http --seed 1 --seconds 3 | cismoke perfbench
 package main
 
 import (
@@ -59,6 +60,8 @@ func main() {
 		err = cmdPersist(args)
 	case "warm":
 		err = cmdWarm(args)
+	case "perfbench":
+		err = cmdPerfbench(os.Stdin)
 	default:
 		usage()
 	}
@@ -69,7 +72,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: cismoke {allocs|synth|corners|partition|scale|xl|eco|chaos|cluster|metrics|persist|warm} [flags] [file...]")
+	fmt.Fprintln(os.Stderr, "usage: cismoke {allocs|synth|corners|partition|scale|xl|eco|chaos|cluster|metrics|persist|warm|perfbench} [flags] [file...]")
 	os.Exit(2)
 }
 

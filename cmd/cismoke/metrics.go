@@ -31,6 +31,7 @@ type metricsView struct {
 			WatchdogKills  int64 `json:"watchdog_kills"`
 			Abandoned      int64 `json:"abandoned_workers"`
 			Deduped        int64 `json:"deduped"`
+			Coalesced      int64 `json:"coalesced"`
 		} `json:"jobs"`
 		Cache struct {
 			Entries     int64 `json:"entries"`
@@ -138,6 +139,7 @@ func cmdMetrics(args []string) error {
 		{`dscts_jobs_queue_depth`, j.Queued},
 		{`dscts_jobs_running`, j.Running},
 		{`dscts_idempotent_replays_total`, j.Deduped},
+		{`dscts_jobs_coalesced_total`, j.Coalesced},
 		{`dscts_cache_hits_total`, c.Hits},
 		{`dscts_cache_misses_total`, c.Misses},
 		{`dscts_cache_evictions_total`, c.Evictions},

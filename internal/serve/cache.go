@@ -3,7 +3,7 @@ package serve
 import (
 	"container/list"
 	"encoding/json"
-	"hash/fnv"
+	"hash/crc32"
 	"sync"
 	"sync/atomic"
 )
@@ -18,9 +18,9 @@ type CacheStats struct {
 	// Corruptions counts entries whose integrity checksum failed on read;
 	// each was evicted and recomputed instead of served (result cache only).
 	Corruptions int64 `json:"corruptions,omitempty"`
-	// EncodeDrops counts results whose checksum encoding failed at store
-	// time; each was dropped instead of cached under a bogus sum (result
-	// cache only).
+	// EncodeDrops counts results whose encoding failed at store time; each
+	// was dropped instead of cached under a sum over a truncated stream
+	// (result cache only).
 	EncodeDrops int64 `json:"encode_drops,omitempty"`
 }
 
@@ -131,6 +131,21 @@ func (c *lru[V]) Remove(key string) bool {
 	return true
 }
 
+// Update replaces key's value with fn of it, in place: recency and the
+// counters are untouched (the fault harness corrupts entries through it,
+// and injecting a fault must not reorder eviction).
+func (c *lru[V]) Update(key string, fn func(V) V) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.items[key]
+	if !ok {
+		return false
+	}
+	e := el.Value.(*lruEntry[V])
+	e.val = fn(e.val)
+	return true
+}
+
 // Peek returns the value without touching recency or the hit/miss counters.
 func (c *lru[V]) Peek(key string) (V, bool) {
 	c.mu.Lock()
@@ -153,53 +168,146 @@ func (c *lru[V]) Stats() CacheStats {
 	}
 }
 
-// cachedResult is one result-cache entry: the immutable result plus the
-// integrity checksum computed at store time.
-type cachedResult struct {
-	res *Result
-	sum uint64
+// encResult is a finished result as it is served: the result without its
+// per-sink delays plus the result's two wire forms, each encoded exactly
+// once, when the result is stored. It is the result-cache entry and what a
+// done job holds, so serving a result — sync response, GET /jobs/{id},
+// stream "done" event — writes bytes and never re-encodes it. The per-sink
+// delay maps live on only in full, as bytes: the encoded form is smaller
+// than the maps it replaces.
+//
+// slim and full are nil only for a result the cache refused because its
+// encoding failed; res then is the whole result and is served by encoding
+// it, as before there was a cache.
+type encResult struct {
+	res     *Result // res.view(false) of the stored result
+	slim    []byte  // json.Marshal(result.view(false))
+	full    []byte  // json.Marshal(result); aliases slim when the two coincide
+	slimSum uint32  // CRC32-C of slim
+	fullSum uint32  // CRC32-C of full
 }
 
-// cache is the result cache: a checksummed LRU. Every entry's checksum is
-// computed when stored and re-verified on every read; a mismatch means the
-// entry was corrupted in place (injected by the fault harness, or real
-// memory damage once entries live off-heap), so Get evicts it and reports a
-// miss — the caller recomputes instead of serving garbage.
+// castagnoli is the CRC32-C table, hardware-accelerated on amd64 and arm64:
+// over C2's 372 KB full form it takes 22 µs where FNV-64a takes 0.62 ms.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// encodeResult is the one place a *Result is encoded for serving: both
+// wire forms, once, each under its own checksum. An encode failure is
+// surfaced, not swallowed — a sum over a truncated stream would be
+// indistinguishable from in-place corruption on the next read.
+func encodeResult(r *Result) (*encResult, error) {
+	full, err := json.Marshal(r)
+	if err != nil {
+		return nil, err
+	}
+	return withForms(r, full)
+}
+
+// decodeResult rebuilds a cache entry from a full wire form (a persisted
+// payload): the bytes are kept as they are; only the slim form, which
+// omits the bulk of them, is encoded again.
+func decodeResult(full []byte) (*encResult, error) {
+	r := new(Result)
+	if err := json.Unmarshal(full, r); err != nil {
+		return nil, err
+	}
+	return withForms(r, full)
+}
+
+// withForms completes an entry from a result and its full wire form.
+func withForms(r *Result, full []byte) (*encResult, error) {
+	sum := crc32.Checksum(full, castagnoli)
+	e := &encResult{res: r.view(false), full: full, slim: full, fullSum: sum, slimSum: sum}
+	if e.res != r {
+		var err error
+		if e.slim, err = json.Marshal(e.res); err != nil {
+			return nil, err
+		}
+		e.slimSum = crc32.Checksum(e.slim, castagnoli)
+	}
+	return e, nil
+}
+
+// intact reports whether the wire form a request asks for still matches
+// its checksum. Only that form is hashed: a slim hit never pays for the
+// full form it does not serve.
+func (e *encResult) intact(sinkDelays bool) bool {
+	if sinkDelays {
+		return crc32.Checksum(e.full, castagnoli) == e.fullSum
+	}
+	return crc32.Checksum(e.slim, castagnoli) == e.slimSum
+}
+
+// refused is the result of an entry the cache refused (no wire forms), in
+// the form a request asks for, to be served by encoding it; nil otherwise,
+// and for a nil entry.
+func (e *encResult) refused(sinkDelays bool) *Result {
+	if e == nil || e.full != nil {
+		return nil
+	}
+	return e.res.view(sinkDelays)
+}
+
+// form is the wire form a request asks for; nil for a refused result.
+func (e *encResult) form(sinkDelays bool) []byte {
+	if sinkDelays {
+		return e.full
+	}
+	return e.slim
+}
+
+// cache is the result cache: an LRU of encoded results, each wire form
+// under a CRC32-C computed at store time and re-verified on every read of
+// that form, over the very bytes the hit writes. A mismatch means the entry was corrupted in place
+// (injected by the fault harness, or real memory damage), so Get evicts it
+// and reports a miss — the caller recomputes instead of serving garbage.
 type cache struct {
-	lru         *lru[cachedResult]
+	lru         *lru[encResult]
 	encodeDrops atomic.Int64
 }
 
 func newCache(maxEntries int) *cache {
-	return &cache{lru: newLRU[cachedResult](maxEntries, 128)}
+	return &cache{lru: newLRU[encResult](maxEntries, 128)}
 }
 
-// Get returns the cached result after verifying its checksum. Verification
-// runs under the LRU lock so the hit/miss/corruption counters stay
-// mutually consistent (see lru.GetChecked).
-func (c *cache) Get(key string) (*Result, bool) {
-	e, ok := c.lru.GetChecked(key, func(e cachedResult) bool {
-		sum, err := checksumResult(e.res)
-		return err == nil && sum == e.sum
-	})
+// GetForm returns the cached entry after verifying the checksum of the
+// wire form the caller will serve (sinkDelays selects it, as in form).
+// Verification runs under the LRU lock so the hit/miss/corruption counters
+// stay mutually consistent (see lru.GetChecked).
+func (c *cache) GetForm(key string, sinkDelays bool) (*encResult, bool) {
+	return c.get(key, func(e encResult) bool { return e.intact(sinkDelays) })
+}
+
+// Get is GetForm for a caller that may serve either form: both are
+// verified.
+func (c *cache) Get(key string) (*encResult, bool) {
+	return c.get(key, func(e encResult) bool { return e.intact(false) && e.intact(true) })
+}
+
+func (c *cache) get(key string, verify func(encResult) bool) (*encResult, bool) {
+	e, ok := c.lru.GetChecked(key, verify)
 	if !ok {
 		return nil, false
 	}
-	return e.res, true
+	return &e, true
 }
 
-// Put stores a result with a fresh checksum. A result whose canonical
-// encoding fails — which a well-formed engine result never does — is
-// dropped and counted instead of stored under a checksum over a truncated
-// stream, which a later Get would misreport as a corruption.
+// Put encodes and stores a result, reporting whether it was stored.
 func (c *cache) Put(key string, res *Result) bool {
-	sum, err := checksumResult(res)
+	return c.put(key, res) != nil
+}
+
+// put encodes and stores a result, returning the stored entry. A result
+// whose encoding fails — which a well-formed engine result never does — is
+// dropped and counted instead (nil).
+func (c *cache) put(key string, res *Result) *encResult {
+	e, err := encodeResult(res)
 	if err != nil {
 		c.encodeDrops.Add(1)
-		return false
+		return nil
 	}
-	c.lru.Put(key, cachedResult{res: res, sum: sum})
-	return true
+	c.lru.Put(key, *e)
+	return e
 }
 
 // Has reports whether a key is present without touching recency or the
@@ -210,16 +318,16 @@ func (c *cache) Has(key string) bool {
 	return ok
 }
 
-// Corrupt flips the stored checksum of an entry, simulating in-place
-// corruption for the fault harness and tests; the next Get must detect it.
+// Corrupt flips the stored checksums of an entry in place, simulating
+// in-place corruption for the fault harness and tests; the next Get of
+// either form must detect it. The entry keeps its place in the eviction
+// order.
 func (c *cache) Corrupt(key string) bool {
-	e, ok := c.lru.Peek(key)
-	if !ok {
-		return false
-	}
-	e.sum ^= 0xdeadbeef
-	c.lru.Put(key, e)
-	return true
+	return c.lru.Update(key, func(e encResult) encResult {
+		e.slimSum ^= 0xdeadbeef
+		e.fullSum ^= 0xdeadbeef
+		return e
+	})
 }
 
 // Stats snapshots the counters. A corrupted read counts as a miss (the
@@ -230,17 +338,4 @@ func (c *cache) Stats() CacheStats {
 	st := c.lru.Stats()
 	st.EncodeDrops = c.encodeDrops.Load()
 	return st
-}
-
-// checksumResult hashes the canonical JSON encoding of a result (FNV-64a).
-// JSON keeps the walk stable (struct order, sorted maps) and exactly covers
-// what a client could ever be served. An encode failure is surfaced, not
-// swallowed: a sum over a truncated stream would be indistinguishable from
-// in-place corruption on the next read.
-func checksumResult(r *Result) (uint64, error) {
-	h := fnv.New64a()
-	if err := json.NewEncoder(h).Encode(r); err != nil {
-		return 0, err
-	}
-	return h.Sum64(), nil
 }

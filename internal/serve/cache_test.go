@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"math"
 	"testing"
@@ -156,5 +157,76 @@ func TestIdempotencyRingFallthrough(t *testing.T) {
 	}
 	if st.Jobs.Submitted != 3 {
 		t.Errorf("submitted = %d, want 3", st.Jobs.Submitted)
+	}
+}
+
+// TestCorruptKeepsRecency: injecting corruption must not reorder eviction.
+// Corrupt flips the stored sum in place, leaving the entry's recency and the
+// counters alone, so the corrupted entry is still the LRU victim.
+func TestCorruptKeepsRecency(t *testing.T) {
+	c := newCache(2)
+	r := &Result{Kind: KindSynthesize, Design: "C1", Metrics: &eval.Metrics{Latency: 1}}
+	c.Put("a", r)
+	c.Put("b", r)
+	if !c.Corrupt("a") {
+		t.Fatal("Corrupt(a) = false with a present")
+	}
+	if c.Corrupt("ghost") {
+		t.Error("Corrupt of an absent key reported true")
+	}
+	if st := c.Stats(); st.Hits != 0 || st.Misses != 0 || st.Evictions != 0 {
+		t.Errorf("Corrupt moved the counters: %+v", st)
+	}
+	// "a" is still the LRU victim despite the Corrupt: the next Put evicts it.
+	c.Put("c", r)
+	if c.Has("a") {
+		t.Error("Corrupt refreshed recency: a survived the eviction")
+	}
+	if !c.Has("b") {
+		t.Error("b evicted out of order")
+	}
+	// The corruption is still caught on a key that survived it.
+	c.Corrupt("b")
+	if _, ok := c.Get("b"); ok {
+		t.Error("corrupted entry served")
+	}
+}
+
+// TestGetFormVerifiesServedForm: each wire form carries its own checksum
+// and a lookup verifies only the form it will serve. Damage to the full
+// form leaves slim hits intact and is caught by the first lookup that
+// would write it; Get, for a caller that may serve either, checks both.
+func TestGetFormVerifiesServedForm(t *testing.T) {
+	r := &Result{Kind: KindSynthesize, Design: "C1", Metrics: &eval.Metrics{
+		Latency: 1, SinkDelays: map[int]float64{0: 1, 1: 2},
+	}}
+	damageFull := func(c *cache) {
+		c.lru.Update("k", func(e encResult) encResult {
+			e.full = append([]byte(nil), e.full...)
+			e.full[len(e.full)-2] ^= 1
+			return e
+		})
+	}
+	c := newCache(4)
+	c.Put("k", r)
+	e, _ := c.lru.Peek("k")
+	if bytes.Equal(e.slim, e.full) {
+		t.Fatal("a result with sink delays has one wire form")
+	}
+	damageFull(c)
+	if _, ok := c.GetForm("k", false); !ok {
+		t.Fatal("slim hit refused over damage to the full form")
+	}
+	if _, ok := c.GetForm("k", true); ok {
+		t.Fatal("damaged full form served")
+	}
+	if st := c.Stats(); st.Hits != 1 || st.Corruptions != 1 || st.Entries != 0 {
+		t.Errorf("stats %+v, want one hit, then one corruption evicting the entry", st)
+	}
+
+	c.Put("k", r)
+	damageFull(c)
+	if _, ok := c.Get("k"); ok {
+		t.Fatal("Get served an entry whose full form is damaged")
 	}
 }

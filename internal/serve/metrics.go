@@ -78,6 +78,9 @@ func newMetrics(reg *obs.Registry, q *Queue) *metrics {
 	reg.CounterFunc("dscts_idempotent_replays_total",
 		"Submissions answered by an earlier job through their idempotency key.",
 		func() float64 { return float64(q.dedupCt.Load()) })
+	reg.CounterFunc("dscts_jobs_coalesced_total",
+		"Jobs finished with the result of an identical job in flight when they arrived (each also counts as done).",
+		func() float64 { return float64(q.coalescedCt.Load()) })
 	reg.GaugeFunc("dscts_jobs_abandoned_workers",
 		"Stuck job bodies currently detached from the runner pool.",
 		func() float64 { return float64(q.abandonCt.Load()) })

@@ -83,6 +83,7 @@ func TestMetricFamiliesGolden(t *testing.T) {
 		"dscts_job_duration_seconds",
 		"dscts_job_queue_wait_seconds",
 		"dscts_jobs_abandoned_workers",
+		"dscts_jobs_coalesced_total",
 		"dscts_jobs_panics_total",
 		"dscts_jobs_queue_capacity",
 		"dscts_jobs_queue_depth",
@@ -160,6 +161,7 @@ func TestMetricsMatchStats(t *testing.T) {
 		"dscts_cache_hits_total":                         float64(stats.Cache.Hits),
 		"dscts_cache_misses_total":                       float64(stats.Cache.Misses),
 		"dscts_jobs_panics_total":                        float64(stats.Jobs.Panics),
+		"dscts_jobs_coalesced_total":                     float64(stats.Jobs.Coalesced),
 	}
 	for name, want := range checks {
 		if got := m[name]; got != want {

@@ -3,7 +3,6 @@ package serve
 import (
 	"bytes"
 	"encoding/gob"
-	"encoding/json"
 	"fmt"
 
 	"dscts/internal/core"
@@ -13,10 +12,11 @@ import (
 // This file is the queue's bridge to the disk persistence tier
 // (internal/store). The store is payload-agnostic — it moves checksummed
 // byte blobs — so everything format-shaped lives here: cached Results
-// persist as their canonical JSON (the same encoding the integrity checksum
-// covers), retained ECO base outcomes persist as gob snapshots. Writes are
-// fire-and-forget behind the in-memory caches; reads happen exactly once,
-// at NewQueue, to warm-start the caches before the first submission.
+// persist as the full wire form their cache entry already holds (the
+// bytes a hit with per-sink delays writes), retained ECO base outcomes
+// persist as gob snapshots. Writes are fire-and-forget behind the
+// in-memory caches; reads happen exactly once, at NewQueue, to warm-start
+// the caches before the first submission.
 
 // warmStart reloads persisted entries into the in-memory caches. Entries
 // that fail to decode are reported corrupt to the store (which counts and
@@ -29,13 +29,11 @@ func (q *Queue) warmStart() {
 	}
 	var results, bases int
 	st.Load(store.KindResult, func(key string, payload []byte) bool {
-		res := new(Result)
-		if err := json.Unmarshal(payload, res); err != nil {
+		e, err := decodeResult(payload)
+		if err != nil {
 			return false
 		}
-		if !q.cache.Put(key, res) {
-			return false
-		}
+		q.cache.lru.Put(key, *e)
 		results++
 		return true
 	})
@@ -58,22 +56,14 @@ func (q *Queue) warmStart() {
 		"skipped_io", s.WarmSkippedIO)
 }
 
-// persistResult writes a freshly computed result behind the in-memory
-// cache. Best-effort and non-blocking: a full write-behind queue drops the
-// entry (counted by the store), costing a cold miss after the next restart.
-func (q *Queue) persistResult(key string, res *Result) {
-	st := q.cfg.Store
-	if st == nil {
-		return
+// persistResult writes a freshly cached result's full wire form behind the
+// in-memory cache. Best-effort and non-blocking: a full write-behind queue
+// drops the entry (counted by the store), costing a cold miss after the
+// next restart.
+func (q *Queue) persistResult(key string, e *encResult) {
+	if st := q.cfg.Store; st != nil {
+		st.Put(store.KindResult, key, e.full)
 	}
-	payload, err := json.Marshal(res)
-	if err != nil {
-		// Unreachable for a result the cache accepted: cache.Put already
-		// proved the canonical encoding works.
-		q.log.Warn("result not persisted: encode failed", "error", err)
-		return
-	}
-	st.Put(store.KindResult, key, payload)
 }
 
 // persistBase snapshots a retained base outcome so POST /eco survives a

@@ -111,6 +111,10 @@ type qosScheduler struct {
 	// tenants counts each tenant's outstanding jobs (queued or running)
 	// for quota admission.
 	tenants map[string]int
+	// held are the followers waiting on an identical job (see
+	// Queue.place): queued jobs that will never run unless their leader
+	// fails, each holding a capacity slot and a tenant-quota unit.
+	held map[*Job]struct{}
 }
 
 func newQoSScheduler(classes []QoSClass, capacity, maxRunning, quota int) *qosScheduler {
@@ -122,6 +126,7 @@ func newQoSScheduler(classes []QoSClass, capacity, maxRunning, quota int) *qosSc
 		quota:    quota,
 		byName:   map[string]*classState{},
 		tenants:  map[string]int{},
+		held:     map[*Job]struct{}{},
 	}
 	s.cond = sync.NewCond(&s.mu)
 	total := 0
@@ -161,15 +166,71 @@ func (s *qosScheduler) lookup(name string) (*classState, bool) {
 func (s *qosScheduler) push(job *Job) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if err := s.admissible(job); err != nil {
+		return err
+	}
+	s.add(job)
+	return nil
+}
+
+// hold admits a follower under the same bounds as push, without queueing
+// it: it holds a capacity slot and a tenant-quota unit until unhold or
+// requeue.
+func (s *qosScheduler) hold(job *Job) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.admissible(job); err != nil {
+		return err
+	}
+	s.held[job] = struct{}{}
+	s.tenants[job.tenant]++
+	return nil
+}
+
+// unhold returns a finished follower's slot and quota unit; a no-op for a
+// job that holds none.
+func (s *qosScheduler) unhold(job *Job) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, ok := s.held[job]; ok {
+		delete(s.held, job)
+		s.decTenant(job.tenant)
+	}
+}
+
+// requeue queues a held follower whose leader did not finish done, in the
+// capacity slot and quota unit it already holds. The only error is
+// ErrClosed.
+func (s *qosScheduler) requeue(job *Job) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
 		return ErrClosed
 	}
-	if s.size >= s.capacity {
+	if _, ok := s.held[job]; ok {
+		delete(s.held, job)
+		s.decTenant(job.tenant)
+	}
+	s.add(job)
+	return nil
+}
+
+// admissible applies the admission bounds; the caller holds s.mu.
+func (s *qosScheduler) admissible(job *Job) error {
+	if s.closed {
+		return ErrClosed
+	}
+	if s.size+len(s.held) >= s.capacity {
 		return ErrQueueFull
 	}
 	if s.quota > 0 && s.tenants[job.tenant] >= s.quota {
 		return ErrQuota
 	}
+	return nil
+}
+
+// add queues an admitted job; the caller holds s.mu.
+func (s *qosScheduler) add(job *Job) {
 	c := s.byName[job.class]
 	if c.pending == 0 {
 		// Waking from idle: catch the class's virtual time up to the
@@ -186,7 +247,6 @@ func (s *qosScheduler) push(job *Job) error {
 	s.size++
 	s.tenants[job.tenant]++
 	s.cond.Signal()
-	return nil
 }
 
 // next blocks until a job is dispatchable and returns it, or returns nil
@@ -314,7 +374,7 @@ func (s *qosScheduler) Len() int {
 func (s *qosScheduler) Full() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.size >= s.capacity
+	return s.size+len(s.held) >= s.capacity
 }
 
 func (s *qosScheduler) pendingOf(c *classState) int {

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -174,21 +175,30 @@ type Event struct {
 	Total     int     `json:"total,omitempty"`
 	Error     string  `json:"error,omitempty"`
 	Result    *Result `json:"result,omitempty"`
+	// wire is the result's encoded form when the job holds one; the HTTP
+	// stream writes it in Result's place (see writeWithResult).
+	wire []byte
 }
 
 // JobInfo is the JSON snapshot of a job (GET /jobs/{id}).
 type JobInfo struct {
-	ID       string    `json:"id"`
-	Kind     string    `json:"kind"`
-	State    JobState  `json:"state"`
-	CacheHit bool      `json:"cache_hit"`
-	Design   string    `json:"design,omitempty"`
-	Sinks    int       `json:"sinks,omitempty"`
-	Created  time.Time `json:"created"`
-	QueueMS  float64   `json:"queue_ms,omitempty"`
-	RunMS    float64   `json:"run_ms,omitempty"`
-	Error    string    `json:"error,omitempty"`
-	Result   *Result   `json:"result,omitempty"`
+	ID    string   `json:"id"`
+	Kind  string   `json:"kind"`
+	State JobState `json:"state"`
+	// CacheHit reports that no flow ran for this request: the result came
+	// from the result cache, or from an identical job that was running
+	// when this one arrived (then Coalesced is set too).
+	CacheHit bool `json:"cache_hit"`
+	// Coalesced marks a job that attached to an identical in-flight job
+	// (single-flight) and finished with that job's result.
+	Coalesced bool      `json:"coalesced,omitempty"`
+	Design    string    `json:"design,omitempty"`
+	Sinks     int       `json:"sinks,omitempty"`
+	Created   time.Time `json:"created"`
+	QueueMS   float64   `json:"queue_ms,omitempty"`
+	RunMS     float64   `json:"run_ms,omitempty"`
+	Error     string    `json:"error,omitempty"`
+	Result    *Result   `json:"result,omitempty"`
 	// TimedOut marks a failure caused by the job's wall-clock deadline
 	// (Config.JobTimeout or the request's timeout_ms); sync HTTP maps it to
 	// 504.
@@ -232,16 +242,21 @@ type Job struct {
 	abandon     chan struct{}
 	abandonOnce sync.Once
 
-	mu       sync.Mutex
-	cond     *sync.Cond
-	state    JobState
-	cacheHit bool
-	created  time.Time
-	started  time.Time
-	finished time.Time
-	result   *Result
-	errMsg   string
-	log      []Event
+	// leads is set when the job is the leader of its key's result flight
+	// (see inflight); fixed before the job can start running.
+	leads bool
+
+	mu        sync.Mutex
+	cond      *sync.Cond
+	state     JobState
+	cacheHit  bool
+	coalesced bool
+	created   time.Time
+	started   time.Time
+	finished  time.Time
+	out       *encResult
+	errMsg    string
+	log       []Event
 	// runCtx is the body's context (job.ctx plus the deadline), set when the
 	// job starts running; the watchdog reads it to spot stuck bodies.
 	runCtx context.Context
@@ -264,15 +279,67 @@ func (j *Job) Done() <-chan struct{} { return j.done }
 func (j *Job) Cancel() { j.cancel() }
 
 // Info snapshots the job. The result view honors the request's
-// IncludeSinkDelays.
+// IncludeSinkDelays. A result with sink delays is rebuilt from its stored
+// encoding on every call (see result); should that fail, Info carries no
+// result and says why in Error.
 func (j *Job) Info() JobInfo {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	info := j.info()
+	var err error
+	if info.Result, err = j.result(); err != nil {
+		info.Error = fmt.Sprintf("result unavailable: %v", err)
+	}
+	return info
+}
+
+// snapshot is Info for the HTTP layer: the result stays encoded. When wire
+// is non-nil, info.Result is nil and wire is the result's JSON.
+func (j *Job) snapshot() (info JobInfo, wire []byte) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	info = j.info()
+	if wire = j.wire(); wire == nil {
+		info.Result = j.out.refused(j.req.IncludeSinkDelays)
+	}
+	return info, wire
+}
+
+// wire is the encoded result this job serves; nil without one. The caller
+// holds j.mu.
+func (j *Job) wire() []byte {
+	if j.out == nil {
+		return nil
+	}
+	return j.out.form(j.req.IncludeSinkDelays)
+}
+
+// result is the result as the job's request asked for it. Per-sink delays
+// are held only encoded, so a request for them is answered by decoding the
+// full form: a fresh decode per call, a few milliseconds for C2's 372 KB.
+// Only in-process callers pay it; HTTP writes the bytes. The caller holds
+// j.mu.
+func (j *Job) result() (*Result, error) {
+	if j.out == nil {
+		return nil, nil
+	}
+	if !j.req.IncludeSinkDelays || j.out.full == nil {
+		return j.out.res.view(j.req.IncludeSinkDelays), nil
+	}
+	r := new(Result)
+	if err := json.Unmarshal(j.out.full, r); err != nil {
+		return nil, fmt.Errorf("decoding the stored result: %w", err)
+	}
+	return r, nil
+}
+
+// info is the job snapshot without its result; the caller holds j.mu.
+func (j *Job) info() JobInfo {
 	info := JobInfo{
-		ID: j.id, Kind: j.kind, State: j.state, CacheHit: j.cacheHit,
+		ID: j.id, Kind: j.kind, State: j.state,
+		CacheHit: j.cacheHit, Coalesced: j.coalesced,
 		Design: j.design, Sinks: j.sinks,
 		Created: j.created, Error: j.errMsg,
-		Result:   j.result.view(j.req.IncludeSinkDelays),
 		TimedOut: j.timedOut, Panicked: j.panicked,
 	}
 	if !j.started.IsZero() {
@@ -290,7 +357,9 @@ func (j *Job) Info() JobInfo {
 // live, invoking fn for each event in order, until the terminal event has
 // been delivered (returns nil), fn returns an error (returned as-is), or
 // ctx is cancelled (returns ctx.Err()). Multiple followers may run
-// concurrently; each sees the full ordered log.
+// concurrently; each sees the full ordered log. A "done" event of a job
+// holding an encoded result carries it encoded (Event.wire, Result nil):
+// the HTTP stream writes those bytes, and Info has the decoded result.
 func (j *Job) Follow(ctx context.Context, fn func(Event) error) error {
 	// A context cancellation must wake a waiting follower.
 	stop := context.AfterFunc(ctx, func() {
@@ -382,8 +451,9 @@ func (j *Job) setPanicked() {
 // finish moves the job to a terminal state exactly once, reporting whether
 // THIS call did the transition. Late finishers — an abandoned body returning
 // after the watchdog already failed the job — get false and must not touch
-// the queue counters again.
-func (j *Job) finish(state JobState, res *Result, err error) bool {
+// the queue counters again. Done is closed later, by retire, once the
+// job's accounting is complete.
+func (j *Job) finish(state JobState, out *encResult, err error) bool {
 	j.mu.Lock()
 	if j.state.terminal() {
 		j.mu.Unlock()
@@ -391,28 +461,28 @@ func (j *Job) finish(state JobState, res *Result, err error) bool {
 	}
 	j.state = state
 	j.finished = time.Now()
-	j.result = res
+	j.out = out
 	ev := Event{Event: string(state), JobID: j.id}
 	if err != nil {
 		j.errMsg = err.Error()
 		ev.Error = j.errMsg
 	}
-	if res != nil {
-		ev.Result = res.view(j.req.IncludeSinkDelays)
+	if ev.wire = j.wire(); ev.wire == nil {
+		ev.Result = j.out.refused(j.req.IncludeSinkDelays)
 	}
 	j.log = append(j.log, ev)
 	j.cond.Broadcast()
 	j.mu.Unlock()
 	j.cancel() // release the context's resources
-	close(j.done)
 	return true
 }
 
 // Config sizes the service.
 type Config struct {
 	// MaxQueued bounds the number of admitted-but-not-finished jobs the
-	// queue holds beyond the running set; admission control rejects
-	// submissions past it with ErrQueueFull. Default 64.
+	// queue holds beyond the running set — followers waiting on an
+	// identical job included; admission control rejects submissions past
+	// it with ErrQueueFull. Default 64.
 	MaxQueued int
 	// MaxRunning is the number of jobs executing concurrently. Default 4.
 	MaxRunning int
@@ -467,8 +537,9 @@ type Config struct {
 	// DefaultQoSClasses (interactive:3, batch:1).
 	QoSClasses []QoSClass
 	// TenantQuota caps each tenant's outstanding (queued or running)
-	// jobs; past it submissions are rejected with ErrQuota (HTTP 429). 0
-	// disables per-tenant quotas.
+	// jobs, followers waiting on an identical job counted as queued; past
+	// it submissions are rejected with ErrQuota (HTTP 429). 0 disables
+	// per-tenant quotas.
 	TenantQuota int
 	// Store is the disk-backed persistence tier: when set, finished
 	// results and retained ECO bases are written behind the in-memory
@@ -596,6 +667,10 @@ type QueueStats struct {
 	// Deduped counts submissions answered by an earlier job through their
 	// idempotency key.
 	Deduped int64 `json:"deduped,omitempty"`
+	// Coalesced counts jobs that finished with the result of an identical
+	// job that was running when they arrived (single-flight; each is also
+	// in Done).
+	Coalesced int64 `json:"coalesced,omitempty"`
 }
 
 // ArenaStats is the scratch-arena recycling section of GET /stats: Gets
@@ -684,11 +759,16 @@ type Queue struct {
 	finished []string      // retention ring of finished job IDs, oldest first
 	panics   []PanicRecord // ring of recovered panics, oldest first
 
-	// baseInflight coalesces concurrent base synthesis for /eco: one job
-	// per base key does the work, the rest wait on its channel and then
-	// take the cached outcome.
-	baseMu       sync.Mutex
-	baseInflight map[string]chan struct{}
+	// results coalesces identical jobs: one leader per result key runs,
+	// identical arrivals follow it (see place and land). baseFlights
+	// coalesces the base synthesis of /eco jobs: one job per base key does
+	// the work, the rest wait and then take the cached outcome.
+	results     inflight
+	baseFlights inflight
+	// offSched counts the jobs admitted off the scheduler — cache hits and
+	// followers (see place) — until they are finished or queued to run;
+	// Close waits for them as it drains the scheduler's.
+	offSched sync.WaitGroup
 
 	// idemMu serializes idempotency-key lookup-and-create so concurrent
 	// retries with the same key coalesce onto one job; idem maps key→jobID
@@ -712,6 +792,7 @@ type Queue struct {
 	watchdogCt     atomic.Int64
 	abandonCt      atomic.Int64 // gauge: bodies currently detached
 	dedupCt        atomic.Int64
+	coalescedCt    atomic.Int64
 
 	// metrics is the instrument set over these atomics (nil when
 	// Config.Metrics is nil); log is never nil (discard by default).
@@ -734,13 +815,12 @@ func NewQueue(cfg Config) *Queue {
 	q := &Queue{
 		cfg: cfg, cache: newCache(cfg.CacheEntries),
 		ctx: ctx, cancel: cancel,
-		arenas:       arena.NewJobPool(0),
-		sched:        newQoSScheduler(cfg.QoSClasses, cfg.MaxQueued, cfg.MaxRunning, cfg.TenantQuota),
-		tenants:      newTenantTable(),
-		jobs:         make(map[string]*Job),
-		baseInflight: make(map[string]chan struct{}),
-		wdStop:       make(chan struct{}),
-		start:        time.Now(),
+		arenas:  arena.NewJobPool(0),
+		sched:   newQoSScheduler(cfg.QoSClasses, cfg.MaxQueued, cfg.MaxRunning, cfg.TenantQuota),
+		tenants: newTenantTable(),
+		jobs:    make(map[string]*Job),
+		wdStop:  make(chan struct{}),
+		start:   time.Now(),
 	}
 	if cfg.ECOBaseEntries > 0 {
 		q.bases = newLRU[*core.Outcome](cfg.ECOBaseEntries, DefaultECOBaseEntries)
@@ -954,27 +1034,137 @@ func (q *Queue) submitNew(req *Request, kind string) (*Job, error) {
 	if f := q.cfg.Faults.Fire(fault.PointServeCache); f != nil && f.Kind == fault.Corrupt {
 		q.cache.Corrupt(job.key)
 	}
-	if res, ok := q.cache.Get(job.key); ok {
-		job.cacheHit = true
-		if err := q.admit(job, false); err != nil {
+	hit, err := q.place(job, false)
+	if err != nil {
+		return nil, err
+	}
+	if hit != nil {
+		if err := q.admit(job, admitHit); err != nil {
 			return nil, err
-		}
-		if job.finish(StateDone, res, nil) {
-			q.doneCt.Add(1)
 		}
 		q.log.Debug("job served from cache",
 			"job", job.id, "kind", kind, "design", design, "sinks", sinks,
 			"request_id", job.reqID)
-		q.retire(job)
+		q.finishHit(job, hit, false)
 		return job, nil
-	}
-	if err := q.admit(job, true); err != nil {
-		return nil, err
 	}
 	q.log.Debug("job admitted",
 		"job", job.id, "kind", kind, "design", design, "sinks", sinks,
 		"request_id", job.reqID)
 	return job, nil
+}
+
+// place routes a job whose result is not known yet, under the result
+// flights' lock (see inflight). A cache hit returns the entry for the
+// caller to finish the job with. Otherwise the job follows the identical
+// job in flight — admitted and counted, holding a queue slot and a tenant
+// quota unit but no run slot — or it leads a new flight and is queued to
+// run. A new job is admitted here and may be rejected. A readmitted one (a
+// follower whose leader did not finish done) passed admission already and
+// keeps the slot it holds, following again or queued in it; it fails only
+// when it was cancelled or the queue has closed.
+func (q *Queue) place(job *Job, readmit bool) (*encResult, error) {
+	q.results.mu.Lock()
+	defer q.results.mu.Unlock()
+	if e, ok := q.cache.GetForm(job.key, job.req.IncludeSinkDelays); ok {
+		return e, nil
+	}
+	if fl := q.results.m[job.key]; fl != nil {
+		if readmit {
+			// A cancellation that fired while the job was between flights
+			// found it in none; catch it here.
+			if err := job.ctx.Err(); err != nil {
+				return nil, err
+			}
+		} else {
+			if err := q.admit(job, admitFollow); err != nil {
+				return nil, err
+			}
+			context.AfterFunc(job.ctx, func() { q.unfollow(job) })
+		}
+		fl.followers = append(fl.followers, job)
+		return nil, nil
+	}
+	// leads is set before the job is queued: the runner that retires it
+	// reads it to end the flight.
+	job.leads = true
+	var err error
+	if readmit {
+		err = q.sched.requeue(job)
+	} else {
+		err = q.admit(job, admitQueue)
+	}
+	if err != nil {
+		job.leads = false
+		return nil, err
+	}
+	q.results.start(job.key)
+	return nil, nil
+}
+
+// unfollow finishes a follower whose context was cancelled, unless its
+// flight has already handed it on (then that path finishes it). Cancelling
+// a follower never touches its leader.
+func (q *Queue) unfollow(job *Job) {
+	if q.results.leave(job.key, job) {
+		q.cancelFollower(job, job.ctx.Err())
+	}
+}
+
+// finishHit finishes a job admitted off the scheduler with a result no
+// flow ran for: a cache entry, or (coalesced) an identical job's.
+func (q *Queue) finishHit(job *Job, out *encResult, coalesced bool) {
+	q.sched.unhold(job)
+	job.mu.Lock()
+	job.cacheHit, job.coalesced = true, coalesced
+	job.mu.Unlock()
+	if job.finish(StateDone, out, nil) {
+		q.doneCt.Add(1)
+		if coalesced {
+			q.coalescedCt.Add(1)
+		}
+	}
+	q.retire(job)
+	q.offSched.Done()
+}
+
+// cancelFollower finishes a follower as cancelled.
+func (q *Queue) cancelFollower(job *Job, err error) {
+	q.sched.unhold(job)
+	if job.finish(StateCancelled, nil, err) {
+		q.cancelCt.Add(1)
+	}
+	q.retire(job)
+	q.offSched.Done()
+}
+
+// land hands a retired leader's outcome to its flight's followers. When the
+// leader ended done they finish with its result, as coalesced hits;
+// otherwise (cancelled, failed, timed out, panicked) each is placed again as
+// an ordinary job — the first leads a new run, the rest follow it — so a
+// follower never inherits another client's failure.
+func (q *Queue) land(leader *Job) {
+	followers := q.results.end(leader.key)
+	if len(followers) == 0 {
+		return
+	}
+	leader.mu.Lock()
+	state, out := leader.state, leader.out
+	leader.mu.Unlock()
+	for _, f := range followers {
+		if state == StateDone {
+			q.finishHit(f, out, true)
+			continue
+		}
+		switch hit, err := q.place(f, true); {
+		case err != nil:
+			q.cancelFollower(f, err)
+		case hit != nil:
+			q.finishHit(f, hit, false)
+		case f.leads:
+			q.offSched.Done() // queued: a runner finishes it now
+		}
+	}
 }
 
 // effectiveTimeout combines the service deadline with the request's
@@ -997,13 +1187,25 @@ func effectiveTimeout(svc time.Duration, reqMS float64) time.Duration {
 	return d
 }
 
-// admit registers the job — and, when enqueue is set, places it on the
-// QoS scheduler — atomically with respect to Close, so a job is either
-// rejected (ErrClosed/ErrQueueFull/ErrQuota) or guaranteed to reach a
-// terminal state: anything admitted before Close is drained by it. The
-// submitted counter increments here, after every rejection check, so
-// submitted counts exactly the jobs that will reach a terminal state.
-func (q *Queue) admit(job *Job, enqueue bool) error {
+// admission is how a job enters the queue.
+type admission int
+
+const (
+	admitHit    admission = iota // served from the cache at once
+	admitFollow                  // waits on an identical job's flight
+	admitQueue                   // queued to run
+)
+
+// admit registers the job — and places a queued job on the QoS scheduler,
+// or holds a follower's slot there — atomically with respect to Close, so
+// a job is either rejected (ErrClosed/ErrQueueFull/ErrQuota) or guaranteed
+// to reach a terminal state: anything admitted before Close is drained by
+// it, or waited for when admitted off the scheduler (a cache hit or a
+// follower). Followers and queued jobs alike are bounded by MaxQueued and
+// the tenant quota; a hit is not. The submitted counter increments here,
+// after every rejection check, so submitted counts exactly the jobs that
+// will reach a terminal state.
+func (q *Queue) admit(job *Job, how admission) error {
 	q.mu.Lock()
 	if q.closed {
 		q.mu.Unlock()
@@ -1011,8 +1213,12 @@ func (q *Queue) admit(job *Job, enqueue bool) error {
 		job.cancel()
 		return ErrClosed
 	}
-	if enqueue {
-		if err := q.sched.push(job); err != nil {
+	if how != admitHit {
+		push := q.sched.push
+		if how == admitFollow {
+			push = q.sched.hold
+		}
+		if err := push(job); err != nil {
 			q.mu.Unlock()
 			job.cancel()
 			switch {
@@ -1036,6 +1242,9 @@ func (q *Queue) admit(job *Job, enqueue bool) error {
 		}
 	}
 	q.jobs[job.id] = job
+	if how != admitQueue {
+		q.offSched.Add(1)
+	}
 	q.mu.Unlock()
 	q.submitted.Add(1)
 	q.tenants.submitted(job.tenant)
@@ -1109,6 +1318,7 @@ func (q *Queue) Stats() Stats {
 			WatchdogKills:    q.watchdogCt.Load(),
 			AbandonedWorkers: q.abandonCt.Load(),
 			Deduped:          q.dedupCt.Load(),
+			Coalesced:        q.coalescedCt.Load(),
 		},
 		Cache:      q.cache.Stats(),
 		Faults:     q.cfg.Faults.Counts(),
@@ -1159,6 +1369,9 @@ func (q *Queue) Close() {
 			}
 			q.retire(job)
 		}
+		// Every leader has retired, so every follower is finished or being
+		// finished by its own cancellation.
+		q.offSched.Wait()
 	})
 }
 
@@ -1182,7 +1395,7 @@ func (q *Queue) RetryAfter() time.Duration {
 // retire records a finished job in the retention ring, forgetting the
 // oldest finished jobs beyond the cap. Every job passes through exactly
 // once, already terminal, which makes it the one funnel for the latency
-// histograms and the per-job log line.
+// histograms and the per-job log line, and the place its Done closes.
 func (q *Queue) retire(job *Job) {
 	q.metrics.observeRetired(job)
 	job.mu.Lock()
@@ -1205,6 +1418,12 @@ func (q *Queue) retire(job *Job) {
 		q.finished = q.finished[1:]
 	}
 	q.mu.Unlock()
+	// Done fires only now, so a client that saw the job finish — a sync
+	// response, a waiter on Done — finds it counted in /stats.
+	close(job.done)
+	if job.leads {
+		q.land(job)
+	}
 }
 
 func (q *Queue) runner() {
@@ -1226,9 +1445,10 @@ func (q *Queue) runner() {
 func (q *Queue) run(job *Job) {
 	// The running slot and tenant-quota unit free when the RUNNER moves
 	// on — also after a watchdog abandon, where the stuck body lingers
-	// but its slot is already being reused.
-	defer q.sched.release(job)
+	// but its slot is already being reused — and before the job retires,
+	// so its tenant is no longer charged for it once Done fires.
 	defer q.retire(job)
+	defer q.sched.release(job)
 	if job.ctx.Err() != nil { // cancelled while queued
 		if job.finish(StateCancelled, nil, job.ctx.Err()) {
 			q.cancelCt.Add(1)
@@ -1369,17 +1589,23 @@ func (q *Queue) execute(job *Job, ctx context.Context) {
 // still live — a cancelled parent is a cancellation however the deadline
 // raced it), cancellation, or plain failure. A successful result is cached
 // even if the job was already force-finished (it is valid; the next
-// identical request deserves the hit).
+// identical request deserves the hit), and always before the job retires
+// and ends its flight, so no identical arrival misses both.
 func (q *Queue) finishJob(job *Job, runCtx context.Context, res *Result, err error) {
 	switch {
 	case err == nil:
 		// The traced phase breakdown rides with the result into the cache:
 		// like the *_ms fields, a later hit reports the producing run's.
+		// The job serves the cached entry too; only a result the cache
+		// refused is kept whole.
 		res.Phases = job.trace.Totals()
-		if q.cache.Put(job.key, res) {
-			q.persistResult(job.key, res)
+		out := q.cache.put(job.key, res)
+		if out != nil {
+			q.persistResult(job.key, out)
+		} else {
+			out = &encResult{res: res}
 		}
-		if job.finish(StateDone, res, nil) {
+		if job.finish(StateDone, out, nil) {
 			q.doneCt.Add(1)
 		}
 	case errors.Is(runCtx.Err(), context.DeadlineExceeded) && job.ctx.Err() == nil:
@@ -1452,44 +1678,34 @@ func (q *Queue) runECO(job *Job, ctx context.Context) (*Result, error) {
 // become the new leader. With base caching disabled every job synthesizes
 // its own base — there is nowhere to share the result through.
 func (q *Queue) resolveBase(job *Job, ctx context.Context, baseReq *Request, baseKey string) (*core.Outcome, bool, error) {
+	if q.bases == nil {
+		prev, err := q.synthesizeBase(job, ctx, baseReq, baseKey)
+		return prev, false, err
+	}
 	for {
-		if q.bases != nil {
-			if prev, ok := q.bases.Get(baseKey); ok {
-				return prev, true, nil
-			}
+		q.baseFlights.mu.Lock()
+		prev, ok := q.bases.Get(baseKey)
+		fl := q.baseFlights.m[baseKey]
+		if !ok && fl == nil {
+			q.baseFlights.start(baseKey)
 		}
-		var ch chan struct{}
-		leader := q.bases == nil // no cache: coalescing cannot share anything
-		if !leader {
-			q.baseMu.Lock()
-			ch = q.baseInflight[baseKey]
-			if ch == nil {
-				ch = make(chan struct{})
-				q.baseInflight[baseKey] = ch
-				leader = true
-			}
-			q.baseMu.Unlock()
+		q.baseFlights.mu.Unlock()
+		if ok {
+			return prev, true, nil
 		}
-		if !leader {
+		if fl != nil {
 			select {
-			case <-ch:
+			case <-fl.done:
 				continue // leader finished: re-check the cache
 			case <-ctx.Done():
 				return nil, false, ctx.Err()
 			}
 		}
-		// The inflight entry MUST be cleared even if the base synthesis
-		// panics (e.g. an injected fault): a stranded entry would park every
-		// later delta against this base forever.
+		// The flight MUST end even if the base synthesis panics (e.g. an
+		// injected fault): a stranded flight would park every later delta
+		// against this base forever.
 		prev, err := func() (*core.Outcome, error) {
-			defer func() {
-				if ch != nil {
-					q.baseMu.Lock()
-					delete(q.baseInflight, baseKey)
-					q.baseMu.Unlock()
-					close(ch)
-				}
-			}()
+			defer q.baseFlights.end(baseKey)
 			return q.synthesizeBase(job, ctx, baseReq, baseKey)
 		}()
 		return prev, false, err
@@ -1526,8 +1742,8 @@ func (q *Queue) synthesizeBase(job *Job, ctx context.Context, baseReq *Request, 
 	// not started yet.
 	baseRes := resultFromOutcome(KindSynthesize, job.design, len(rv.sinks), prev)
 	baseRes.Phases = job.trace.Totals()
-	if q.cache.Put(baseKey, baseRes) {
-		q.persistResult(baseKey, baseRes)
+	if e := q.cache.put(baseKey, baseRes); e != nil {
+		q.persistResult(baseKey, e)
 	}
 	return prev, nil
 }

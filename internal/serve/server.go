@@ -1,9 +1,11 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"strconv"
@@ -205,7 +207,7 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, kind string) {
 	}
 	switch mode {
 	case "async":
-		s.writeJSON(w, r, http.StatusAccepted, job.Info())
+		s.writeJob(w, r, http.StatusAccepted, job)
 	case "stream":
 		s.stream(w, r, job)
 	case "sync":
@@ -213,8 +215,7 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, kind string) {
 		// burning workers.
 		select {
 		case <-job.Done():
-			info := job.Info()
-			s.writeJSON(w, r, terminalStatus(info), info)
+			s.writeJob(w, r, 0, job)
 		case <-r.Context().Done():
 			job.Cancel()
 			<-job.Done()
@@ -252,9 +253,12 @@ func (s *Server) stream(w http.ResponseWriter, r *http.Request, job *Job) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
 	err := job.Follow(r.Context(), func(ev Event) error {
-		if err := enc.Encode(ev); err != nil {
+		b, err := json.Marshal(ev)
+		if err != nil {
+			return err
+		}
+		if err := writeWithResult(w, b, ev.wire); err != nil {
 			return err
 		}
 		if flusher != nil {
@@ -278,7 +282,7 @@ func (s *Server) job(w http.ResponseWriter, r *http.Request) {
 		s.stream(w, r, job)
 		return
 	}
-	s.writeJSON(w, r, http.StatusOK, job.Info())
+	s.writeJob(w, r, http.StatusOK, job)
 }
 
 func (s *Server) cancel(w http.ResponseWriter, r *http.Request) {
@@ -287,7 +291,7 @@ func (s *Server) cancel(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, r, http.StatusNotFound, err)
 		return
 	}
-	s.writeJSON(w, r, http.StatusOK, job.Info())
+	s.writeJob(w, r, http.StatusOK, job)
 }
 
 func (s *Server) healthz(w http.ResponseWriter, r *http.Request) {
@@ -333,6 +337,60 @@ func (s *Server) writeJSON(w http.ResponseWriter, r *http.Request, status int, v
 			"path", r.URL.Path, "status", status, "error", err,
 			"request_id", r.Header.Get("X-Request-ID"))
 	}
+}
+
+// writeJob writes a job snapshot (status 0: the sync-mode terminal status).
+// A done job's result is written as the bytes its cache entry holds — a hit
+// encodes only the small snapshot around them — and the body is byte for
+// byte what encoding JobInfo with the result set would produce.
+func (s *Server) writeJob(w http.ResponseWriter, r *http.Request, status int, job *Job) {
+	info, wire := job.snapshot()
+	if status == 0 {
+		status = terminalStatus(info)
+	}
+	if wire == nil {
+		s.writeJSON(w, r, status, info)
+		return
+	}
+	b, err := json.Marshal(info)
+	if err != nil { // unreachable: the snapshot's floats are finite durations
+		s.writeErr(w, r, http.StatusInternalServerError, err)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	if err := writeWithResult(w, b, wire, `,"timed_out":`, `,"panicked":`); err != nil {
+		s.log.Debug("response write failed",
+			"path", r.URL.Path, "status", status, "error", err,
+			"request_id", r.Header.Get("X-Request-ID"))
+	}
+}
+
+// writeWithResult writes b — the JSON of a JobInfo or Event encoded with a
+// nil Result — and a newline, with an encoded result (when wire is
+// non-nil) spliced in as its "result" member where encoding/json puts it:
+// before the first member that follows Result in field order (next), else
+// before the closing brace. The output equals json.Encoder output for the
+// value with its Result set, without encoding the result. The search is
+// exact: a comma followed by a quote cannot occur inside an encoded
+// string, whose quotes are escaped.
+func writeWithResult(w io.Writer, b, wire []byte, next ...string) error {
+	parts := [][]byte{b, []byte("\n")}
+	if wire != nil {
+		at := len(b) - 1
+		for _, m := range next {
+			if i := bytes.Index(b, []byte(m)); i >= 0 && i < at {
+				at = i
+			}
+		}
+		parts = [][]byte{b[:at], []byte(`,"result":`), wire, b[at:], []byte("\n")}
+	}
+	for _, p := range parts {
+		if _, err := w.Write(p); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // writeErr writes a structured error body carrying the request ID.
