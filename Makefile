@@ -2,7 +2,7 @@
 #
 #   make ci          - build + vet + test + fuzz smoke (what the roadmap calls tier-1)
 #   make race        - race detector on the determinism + corner + service + ECO suites
-#   make fuzz        - 10s fuzz smoke per parser target (DEF, LEF)
+#   make fuzz        - 10s fuzz smoke per target (DEF, LEF parsers; incremental what-if trial)
 #   make golden      - golden-metrics regression suite (make golden-update re-pins)
 #   make staticcheck - pinned staticcheck over the whole tree (fetches the tool)
 #   make vulncheck   - pinned govulncheck over the whole tree (fetches the tool)
@@ -54,6 +54,7 @@ race:
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzParseDEF -fuzztime 10s ./internal/def
 	$(GO) test -run xxx -fuzz FuzzParseLEF -fuzztime 10s ./internal/lef
+	$(GO) test -run xxx -fuzz FuzzWhatIfTrial -fuzztime 10s ./internal/eval
 
 golden:
 	$(GO) test -run TestGoldenMetrics .

@@ -85,6 +85,14 @@ func Budget(sinks int, p Params) int {
 	return n
 }
 
+// trial judges one candidate against the accepted state and sinkDelays
+// refreshes the ranking's per-sink delays, both from the WhatIf baseline;
+// the parity tests swap in full passes as the oracle they must match.
+var (
+	trial      = (*eval.WhatIf).Trial
+	sinkDelays = (*eval.WhatIf).SinkDelays
+)
+
 // Report describes what the refinement did.
 type Report struct {
 	Triggered     bool
@@ -97,11 +105,13 @@ type Report struct {
 //
 // The accept/reject loop evaluates candidates against a WhatIf view of the
 // RC network (built once) instead of re-running a full Evaluate per
-// attempt. Trials are speculatively evaluated in parallel batches of up to
-// Params.Workers candidates: every candidate in a batch is judged against
-// the same accepted state, the batch is then consumed in rank order, and
-// the first acceptance discards the stale remainder — which is exactly the
-// decision sequence of the sequential loop, for every worker count.
+// attempt; a trial re-evaluates only the subtree its buffer changes
+// (eval.WhatIf.Trial). Trials are speculatively evaluated in parallel
+// batches of up to Params.Workers candidates: every candidate in a batch
+// is judged against the same accepted state, the batch is then consumed in
+// rank order, and the first acceptance discards the stale remainder —
+// which is exactly the decision sequence of the sequential loop, for every
+// worker count.
 func Refine(t *ctree.Tree, tc *tech.Tech, p Params) (*Report, error) {
 	return RefineContext(context.Background(), t, tc, p)
 }
@@ -151,9 +161,9 @@ func RefineContext(ctx context.Context, t *ctree.Tree, tc *tech.Tech, p Params) 
 	sinkDelay := make([]float64, maxSink+1)
 	// Seed the loop state from the WhatIf model itself (not the reference
 	// Evaluate, which sums in a different order and agrees only to ~1e-9)
-	// so every accept/reject comparison is internally consistent.
-	curLat, curSkew := w.Eval(-1, scratches[0], sinkDelay)
-	delaysStale := false
+	// so every accept/reject comparison is internally consistent. This
+	// full pass is also the baseline every trial reads.
+	curLat, curSkew := w.Rebase()
 
 	// Rank centroids by the delay of their slowest sink (descending).
 	type endpoint struct {
@@ -200,12 +210,9 @@ func RefineContext(ctx context.Context, t *ctree.Tree, tc *tech.Tech, p Params) 
 	skews := make([]float64, workers)
 	var ctxErr error
 	tryPass := func(slowFirst bool) {
-		if delaysStale {
-			// Ranking reads per-sink delays; refresh them once per pass
-			// rather than on every accept.
-			w.Eval(-1, scratches[0], sinkDelay)
-			delaysStale = false
-		}
+		// Ranking reads the per-sink delays of the accepted state, which
+		// the baseline holds.
+		sinkDelays(w, sinkDelay)
 		eps := rank(slowFirst)
 		// The budget n counts refined (accepted) end-points; attempts are
 		// bounded separately so rejected trials cannot stall the pass.
@@ -229,7 +236,7 @@ func RefineContext(ctx context.Context, t *ctree.Tree, tc *tech.Tech, p Params) 
 			// Speculate: judge the next `batch` candidates against the
 			// same accepted state, each on its own scratch.
 			par.ForEach(workers, batch, func(b int) {
-				lats[b], skews[b] = w.Eval(eps[i+b].slot, scratches[b], nil)
+				lats[b], skews[b] = trial(w, eps[i+b].slot, scratches[b])
 			})
 			accepted := false
 			for b := 0; b < batch && !accepted; b++ {
@@ -244,9 +251,9 @@ func RefineContext(ctx context.Context, t *ctree.Tree, tc *tech.Tech, p Params) 
 				}
 				w.Commit(eps[i-1].slot)
 				// The trial already evaluated exactly this committed
-				// state (same active slot set, same arithmetic).
+				// state (same active slot set, same arithmetic) and the
+				// commit rebased the model on it.
 				curLat, curSkew = lats[b], skews[b]
-				delaysStale = true
 				rep.Inserted++
 				accepted = true // rest of the batch is stale; re-speculate
 			}
