@@ -2,13 +2,13 @@
 #
 #   make ci          - build + vet + test + fuzz smoke (what the roadmap calls tier-1)
 #   make race        - race detector on the determinism + corner + service + ECO suites
-#   make fuzz        - 10s fuzz smoke per target (DEF, LEF parsers; incremental what-if trial)
+#   make fuzz        - 10s fuzz smoke per target (DEF, LEF parsers; incremental what-if trial; bounded k-means)
 #   make golden      - golden-metrics regression suite (make golden-update re-pins)
 #   make staticcheck - pinned staticcheck over the whole tree (fetches the tool)
 #   make vulncheck   - pinned govulncheck over the whole tree (fetches the tool)
 #   make smoke       - the Go-only CLI smoke suite (what CI runs, minus the XL job)
 #   make bench       - the substrate + parallel-engine + partition benchmarks
-#   make report      - regenerate BENCH_parallel.json
+#   make report      - regenerate BENCH_parallel.json (at GOMAXPROCS=1)
 #   make load        - regenerate BENCH_serve.json (service load test)
 #   make chaos       - 30s seeded fault-injection soak under -race + report gate (BENCH_chaos.json)
 #   make metrics     - short load run + observability gate: /metrics scrape must match /stats
@@ -55,6 +55,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzParseDEF -fuzztime 10s ./internal/def
 	$(GO) test -run xxx -fuzz FuzzParseLEF -fuzztime 10s ./internal/lef
 	$(GO) test -run xxx -fuzz FuzzWhatIfTrial -fuzztime 10s ./internal/eval
+	$(GO) test -run xxx -fuzz FuzzKMeansBounds -fuzztime 10s ./internal/cluster
 
 golden:
 	$(GO) test -run TestGoldenMetrics .
@@ -140,5 +141,7 @@ perfbench:
 bench:
 	$(GO) test -run xxx -bench 'BenchmarkSubstrates|BenchmarkParallelSynthesize|BenchmarkPartitionSynthesize' -benchmem .
 
+# Pinned to GOMAXPROCS=1: the workersN stages allocate per worker, and the
+# allocs gate only compares reports recorded at the same GOMAXPROCS.
 report:
-	$(GO) run ./cmd/benchgen -bench -bench-out BENCH_parallel.json
+	GOMAXPROCS=1 $(GO) run ./cmd/benchgen -bench -bench-out BENCH_parallel.json

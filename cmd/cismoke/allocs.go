@@ -7,7 +7,8 @@ package main
 // allocation accounting is machine-transferable — the same binary allocates
 // the same amounts on any host — which is exactly why the generic
 // `benchgen -compare` ratio gate leaves these columns alone and this
-// subcommand gates them instead.
+// subcommand gates them instead. Both reports must have been recorded at the
+// same GOMAXPROCS: the workersN stages allocate per worker.
 
 import (
 	"encoding/json"
@@ -32,8 +33,11 @@ func decodeFile(path string, v any) error {
 }
 
 // parallelAllocView mirrors the BENCH_parallel.json fields this gate reads.
+// GOMAXPROCS is a pointer so a report without the field is told apart from
+// one recorded at some value.
 type parallelAllocView struct {
-	Stages map[string]struct {
+	GOMAXPROCS *int `json:"gomaxprocs"`
+	Stages     map[string]struct {
 		BytesPerOp  int64 `json:"bytes_per_op"`
 		AllocsPerOp int64 `json:"allocs_per_op"`
 	} `json:"stages"`
@@ -57,6 +61,15 @@ func cmdAllocs(args []string) error {
 	}
 	if err := decodeFile(fs.Arg(1), &cur); err != nil {
 		return err
+	}
+	// The workersN stages allocate per worker (goroutines, per-worker
+	// scratch), so their rows are only comparable at one GOMAXPROCS.
+	switch {
+	case base.GOMAXPROCS == nil || cur.GOMAXPROCS == nil:
+		return fmt.Errorf("%s or %s does not record gomaxprocs", fs.Arg(0), fs.Arg(1))
+	case *base.GOMAXPROCS != *cur.GOMAXPROCS:
+		return fmt.Errorf("gomaxprocs differs: baseline %s recorded at %d, new %s at %d; re-run benchgen -bench with GOMAXPROCS=%d",
+			fs.Arg(0), *base.GOMAXPROCS, fs.Arg(1), *cur.GOMAXPROCS, *base.GOMAXPROCS)
 	}
 	if len(base.Stages) == 0 || len(cur.Stages) == 0 {
 		return fmt.Errorf("empty stage table (baseline %d, new %d)", len(base.Stages), len(cur.Stages))

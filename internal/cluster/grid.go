@@ -124,20 +124,31 @@ func (g *centGrid) build(cxs, cys []float64) {
 }
 
 // nearest returns the index of the exact nearest centroid to (px,py) (ties
-// broken by lowest index, matching bruteNearest). Distances are compared
-// squared: the ordering is identical and the hot loop avoids math.Hypot.
+// broken by lowest index, matching bruteNearest) and its squared distance.
+// Distances are compared squared: the ordering is identical and the hot loop
+// avoids math.Hypot.
+//
+// The third result lb2 is a squared lower bound on the distance from
+// (px,py) to every other centroid, the seed of the point's Hamerly lower
+// bound: the lesser of the second-best squared distance the walk scanned
+// and the square of the ring bound (r-1)·cell at which it stopped, which
+// holds for every centroid it did not scan. It costs no extra ring. The
+// ring bound is exact up to the few ulps of rounding in the cell index of
+// a coordinate, which the skip margin boundsEps covers.
 //
 // seed (when >= 0) primes the walk with a known candidate — the point's
 // previous assignment — whose distance upper-bounds the answer, so rings
 // beyond it terminate immediately. This is a pure accelerator: the
 // termination bound is strict (lb² > bestD2), so every centroid at distance
 // <= the current best is still scanned and the lowest-index tie-break is
-// applied to exactly the same candidate set as the unseeded walk.
-func (g *centGrid) nearest(px, py float64, cxs, cys []float64, seed int) int {
+// applied to exactly the same candidate set as the unseeded walk. The
+// seed's second visit is kept out of the second-best distance.
+func (g *centGrid) nearest(px, py float64, cxs, cys []float64, seed int) (best int, bestD2, lb2 float64) {
 	qx := clampInt(int((px-g.minX)*g.inv), 0, g.nx-1)
 	qy := clampInt(int((py-g.minY)*g.inv), 0, g.ny-1)
-	best := -1
-	bestD2 := math.Inf(1)
+	best = -1
+	bestD2 = math.Inf(1)
+	secD2 := math.Inf(1)
 	if seed >= 0 {
 		dx, dy := px-cxs[seed], py-cys[seed]
 		best, bestD2 = seed, dx*dx+dy*dy
@@ -148,8 +159,11 @@ func (g *centGrid) nearest(px, py float64, cxs, cys []float64, seed int) int {
 	scan := func(lo, hi int32) {
 		for t := lo; t < hi; t++ {
 			dx, dy := px-g.px[t], py-g.py[t]
-			if d2 := dx*dx + dy*dy; d2 < bestD2 || (d2 == bestD2 && int(g.items[t]) < best) {
-				best, bestD2 = int(g.items[t]), d2
+			c := int(g.items[t])
+			if d2 := dx*dx + dy*dy; d2 < bestD2 || (d2 == bestD2 && c < best) {
+				best, bestD2, secD2 = c, d2, bestD2
+			} else if d2 < secD2 && c != best {
+				secD2 = d2
 			}
 		}
 	}
@@ -162,7 +176,7 @@ func (g *centGrid) nearest(px, py float64, cxs, cys []float64, seed int) int {
 		if best >= 0 && r >= 1 {
 			lb := float64(r-1) * g.cell
 			if lb*lb > bestD2 {
-				return best
+				return best, bestD2, math.Min(secD2, lb*lb)
 			}
 		}
 		visited := false
@@ -210,11 +224,13 @@ func (g *centGrid) nearest(px, py float64, cxs, cys []float64, seed int) int {
 				}
 			}
 		}
+		// A ring fully outside the grid leaves nothing unscanned further
+		// out, so only the scanned second best bounds the others.
 		if !visited && best >= 0 {
-			return best // ring fully outside the grid; nothing further out
+			return best, bestD2, secD2
 		}
 		if !visited && r > g.nx+g.ny {
-			return best // unreachable guard: empty grid
+			return best, bestD2, secD2 // unreachable guard: empty grid
 		}
 	}
 }

@@ -8,9 +8,17 @@
 // The Lloyd assignment step — the hot loop of the whole synthesis flow — is
 // accelerated three ways, none of which changes the result:
 //
-//   - a spatial grid over the centroids answers exact nearest-centroid
-//     queries by ring search instead of the naive O(k) scan (see grid.go);
-//   - the per-point assignment loop is sharded across a worker pool
+//   - Hamerly bounds skip the nearest-centroid search for every point whose
+//     assignment provably cannot change (see assignRange): each point keeps
+//     an upper bound on the distance to its centroid and a lower bound on
+//     the distance to every other one, both shifted by the centroid drift
+//     of each pass, and a point whose bounds stay apart by the rounding
+//     margin boundsEps is left alone. The k-means++ seeding draws each seed
+//     by binary search over the running sums of its distance field, one
+//     pass over the points per seed instead of two;
+//   - the search itself, for the points that still need it, walks a
+//     spatial grid over the centroids by rings instead of the naive O(k)
+//     scan (see grid.go), and it is sharded across a worker pool
 //     (Options.Workers). Assignments are pure per-point functions of the
 //     centroid set and centroid updates are accumulated sequentially, so any
 //     worker count produces bit-identical clusterings;
@@ -21,6 +29,10 @@
 //     is attached, or from a package-level pool otherwise — repeated calls
 //     reuse buffers either way.
 //
+// Options.Brute switches off the bounds, the grid and the binary-search
+// draw: the plain O(n·k) scan of bruteNearest and the linear seed draw are
+// the oracle the accelerated passes are tested against, bit for bit.
+//
 // Iterations also stop as soon as the centroid set reaches a fixed point
 // (exact equality), which skips the trailing no-op assignment passes of a
 // fixed iteration budget.
@@ -30,7 +42,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
-	"sort"
+	"slices"
 
 	"dscts/internal/arena"
 	"dscts/internal/geom"
@@ -77,9 +89,10 @@ type Options struct {
 	// Workers shards the assignment loop; <= 0 means all CPUs. The result
 	// is identical for every worker count.
 	Workers int
-	// Brute disables the spatial-grid nearest-centroid accelerator and
-	// forces the reference O(n·k) scan. The grid is exact, so this only
-	// exists for benchmarking and cross-checking (see grid.go).
+	// Brute runs the unaccelerated reference: no bounds, no grid, the
+	// O(n·k) scan of bruteNearest and a linear seed draw. The accelerated
+	// passes are exact, so this only exists for benchmarking and as the
+	// oracle they are checked against.
 	Brute bool
 	// Arena, when set, sources all Lloyd scratch from the job's arena so
 	// recycled jobs cluster allocation-free. A nil Arena falls back to a
@@ -99,11 +112,22 @@ type kmScratch struct {
 	cnt      []int
 	d2       []float64 // k-means++ distance field
 	assign   []int
-	changed  []bool // per-chunk assignment-change flags
+	changed  []bool    // per-chunk assignment-change flags
+	ub, lb   []float64 // per-point Hamerly bounds (see assignRange)
+	move     []float64 // per-centroid drift since the last assignment pass
 	remap    []int
 	members  []int // balance: counting-sorted member index backing
 	moff     []int
 	grid     centGrid
+	pcg      rand.PCG // seeding generator, re-seeded per run
+
+	// Per-run state of the assignment passes, set by lloyd.
+	ref      bool    // Options.Brute: unbounded reference scan
+	useGrid  bool    // search through grid instead of bruteNearestTwo
+	bounded  bool    // ub/lb hold valid bounds from the previous pass
+	eps      float64 // absolute skip margin (boundsEps)
+	mv1, mv2 float64 // largest and second-largest entry of move
+	mvArg    int     // index of mv1
 }
 
 // clusterScratch is the cluster phase's slot in the job arena: pools of
@@ -183,21 +207,30 @@ func lloyd(s *kmScratch, n, k int, opt Options) {
 	s.sxs = arena.Grow(s.sxs, k)
 	s.sys = arena.Grow(s.sys, k)
 	s.cnt = arena.Grow(s.cnt, k)
+	s.move = arena.Grow(s.move, k)
 	s.assign = arena.GrowZero(s.assign, n)
+	s.ub = arena.Grow(s.ub, n)
+	s.lb = arena.Grow(s.lb, n)
 	s.changed = arena.Grow(s.changed, (n+assignChunk-1)/assignChunk)
+	s.ref = opt.Brute
+	s.bounded = false
+	s.eps = boundsEps(s.xs, s.ys, opt.MaxIter)
 
 	// PCG seeding is effectively free, which matters because the
 	// cap-aware splitting of the dual-level hierarchy re-enters KMeans
 	// hundreds of times on small point sets.
-	rng := rand.New(rand.NewPCG(uint64(opt.Seed), 0x9e3779b97f4a7c15))
-	seedPlusPlus(s, n, k, rng)
+	s.pcg.Seed(uint64(opt.Seed), 0x9e3779b97f4a7c15)
+	seedPlusPlus(s, n, k, rand.New(&s.pcg))
 	workers := par.N(opt.Workers)
-	useGrid := !opt.Brute && s.grid.size(s.cxs, s.cys)
+	s.useGrid = !s.ref && s.grid.size(s.cxs, s.cys)
 	for iter := 0; iter < opt.MaxIter; iter++ {
-		if useGrid {
+		if s.useGrid {
 			s.grid.build(s.cxs, s.cys)
 		}
-		changed := assignNearest(s, useGrid, workers)
+		changed := assignNearest(s, workers)
+		if afterAssign != nil {
+			afterAssign(s)
+		}
 		copy(s.pxs, s.cxs)
 		copy(s.pys, s.cys)
 		recompute(s, n, k)
@@ -210,7 +243,46 @@ func lloyd(s *kmScratch, n, k int, opt Options) {
 		if centsEqual(s, k) {
 			break
 		}
+		s.bounded = !s.ref
 	}
+}
+
+// afterAssign, when set, sees the scratch after every assignment pass, before
+// the centroids move. Tests use it to check each pass against the oracle.
+var afterAssign func(s *kmScratch)
+
+// boundsEps returns the absolute margin ε by which a point's Hamerly bounds
+// must stay apart before its search is skipped, derived once per Lloyd run
+// from the coordinate extent. Let u = 2⁻⁵³ and M = max|x| + max|y| over the
+// points. Centroids are rounded means of points and grid cells are no wider
+// than the centroid spread, so every point–centroid distance, centroid
+// drift, ring bound and bound that decides a skip is below B = 4M. ε has to
+// cover two roundings:
+//
+//   - the bounds: a computed distance (the square root of a computed d², or
+//     a ring bound of the grid) is within 3u·B of the true one, and each
+//     pass shifts ub and lb by one such drift with one rounded add, so after
+//     T passes since their last exact value they are off by at most
+//     (3 + 5T)·u·B each, plus u·B for the rounded ub+ε of the test itself;
+//   - the comparison: a computed d² is within a relative 4u of the true
+//     squared distance, so if the true distance to centroid c exceeds the
+//     true distance to the assigned centroid a by more than 4u·B, computed
+//     d²(c) > d²(a) strictly — a wins bruteNearest's first-minimum scan
+//     against every c, whatever the index order.
+//
+// With T ≤ maxIter the sum stays below 16·(maxIter+1)·u·B. ε takes 2⁻⁴⁰ in
+// place of 16u, a 512-fold margin; at the default 40 passes that is about
+// 1.5e-10·M, far below any spacing k-means resolves. The floor of 2⁻⁵⁰⁰
+// outweighs the √(2⁻¹⁰⁷⁴) a subnormal d² can lose, so degenerate tiny
+// coordinates only ever stop skips. Non-finite coordinates make ε NaN or
+// +Inf, which stops every skip too.
+func boundsEps(xs, ys []float64, maxIter int) float64 {
+	var mx, my float64
+	for i := range xs {
+		mx = math.Max(mx, math.Abs(xs[i]))
+		my = math.Max(my, math.Abs(ys[i]))
+	}
+	return math.Max(4*(mx+my)*0x1p-40*float64(maxIter+1), 0x1p-500)
 }
 
 // bisect is the allocation-free twin of KMeans for the cap-aware recursive
@@ -252,6 +324,14 @@ func centsEqual(s *kmScratch, k int) bool {
 // seedPlusPlus is the k-means++ seeding: spread initial centroids with
 // probability proportional to squared distance from the nearest chosen seed.
 // It writes the k seeds into s.cxs/s.cys.
+//
+// The distance field's running sums are kept in s.ub (free until the first
+// Lloyd pass), so a seed is drawn by binary search for the first point whose
+// running sum reaches the drawn value: the running sums are the very
+// additions the reference's linear scan performs, in the same order, so both
+// draw the same point, and each seed costs one pass over the points instead
+// of two. Each point's nearest seed so far (lowest index on ties) goes to
+// s.assign, which primes the first Lloyd pass's search with its answer.
 func seedPlusPlus(s *kmScratch, n, k int, rng *rand.Rand) {
 	first := rng.IntN(n)
 	s.cxs[0] = s.xs[first]
@@ -263,21 +343,23 @@ func seedPlusPlus(s *kmScratch, n, k int, rng *rand.Rand) {
 		return
 	}
 	s.d2 = arena.Grow(s.d2, n)
-	d2 := s.d2
+	xs := s.xs[:n]
+	ys, d2, sums, near := s.ys[:len(xs)], s.d2[:len(xs)], s.ub[:len(xs)], s.assign[:len(xs)]
 	var total float64
-	for i := 0; i < n; i++ {
-		dx, dy := s.xs[i]-s.cxs[0], s.ys[i]-s.cys[0]
+	for i := range xs {
+		dx, dy := xs[i]-s.cxs[0], ys[i]-s.cys[0]
 		d2[i] = dx*dx + dy*dy
 		total += d2[i]
+		sums[i] = total
 	}
-	for kc := 1; kc < k; kc++ {
-		var next int
-		if total <= 0 {
+	for kc := 1; ; kc++ {
+		next := n - 1
+		switch {
+		case total <= 0:
 			next = rng.IntN(n)
-		} else {
+		case s.ref:
 			r := rng.Float64() * total
 			acc := 0.0
-			next = n - 1
 			for i, v := range d2 {
 				acc += v
 				if acc >= r {
@@ -285,19 +367,34 @@ func seedPlusPlus(s *kmScratch, n, k int, rng *rand.Rand) {
 					break
 				}
 			}
+		default:
+			r := rng.Float64() * total
+			lo := 0 // sums[next] == total >= r
+			for lo < next {
+				if m := int(uint(lo+next) >> 1); sums[m] >= r {
+					next = m
+				} else {
+					lo = m + 1
+				}
+			}
 		}
-		cx, cy := s.xs[next], s.ys[next]
+		cx, cy := xs[next], ys[next]
 		s.cxs[kc] = cx
 		s.cys[kc] = cy
+		if kc == k-1 {
+			return // the last seed steers no further draw
+		}
 		// Tighten the distance field and rebuild its sum in one pass
 		// (recomputing rather than decrementing keeps the sum exact).
 		total = 0
-		for i := 0; i < n; i++ {
-			dx, dy := s.xs[i]-cx, s.ys[i]-cy
+		for i := range xs {
+			dx, dy := xs[i]-cx, ys[i]-cy
 			if v := dx*dx + dy*dy; v < d2[i] {
 				d2[i] = v
+				near[i] = kc
 			}
 			total += d2[i]
+			sums[i] = total
 		}
 	}
 }
@@ -310,82 +407,92 @@ func seedPlusPlus(s *kmScratch, n, k int, rng *rand.Rand) {
 const assignChunk = 2048
 
 // assignNearest writes the index of the exact nearest centroid (lowest
-// index on ties) for every point, using the grid accelerator when one is
-// available and sharding across workers. Each point's assignment is an
-// independent pure function, so the output is schedule-independent.
-func assignNearest(s *kmScratch, useGrid bool, workers int) bool {
+// index on ties) for every point, sharding the points across workers. Each
+// point's assignment is an independent pure function of the centroid set,
+// so the output is schedule-independent.
+func assignNearest(s *kmScratch, workers int) bool {
+	if s.bounded {
+		// How far each centroid moved since the last pass (pxs → cxs),
+		// and the two largest moves.
+		s.mv1, s.mv2, s.mvArg = 0, 0, -1
+		for c := range s.move {
+			dx, dy := s.cxs[c]-s.pxs[c], s.cys[c]-s.pys[c]
+			if s.move[c] = math.Sqrt(dx*dx + dy*dy); s.move[c] > s.mv1 {
+				s.mv1, s.mv2, s.mvArg = s.move[c], s.mv1, c
+			} else if s.move[c] > s.mv2 {
+				s.mv2 = s.move[c]
+			}
+		}
+	}
 	n := len(s.xs)
-	for i := range s.changed {
-		s.changed[i] = false
-	}
 	if workers <= 1 {
-		// Inline chunk walk: same chunk boundaries and per-point work as
-		// the pooled path, minus the escaping closures (which used to cost
-		// two heap allocations per Lloyd pass — thousands per clustering
-		// once the cap-aware splitter re-enters KMeans per low cluster).
+		// Inline chunk walk: same chunks as the pooled path, minus the
+		// escaping closure (two heap allocations per Lloyd pass —
+		// thousands per clustering once the cap-aware splitter re-enters
+		// KMeans per low cluster).
 		for lo := 0; lo < n; lo += assignChunk {
-			hi := lo + assignChunk
-			if hi > n {
-				hi = n
-			}
-			chunkChanged := false
-			if useGrid {
-				for i := lo; i < hi; i++ {
-					best := s.grid.nearest(s.xs[i], s.ys[i], s.cxs, s.cys, s.assign[i])
-					if s.assign[i] != best {
-						s.assign[i] = best
-						chunkChanged = true
-					}
-				}
-			} else {
-				for i := lo; i < hi; i++ {
-					best := bruteNearest(s.xs[i], s.ys[i], s.cxs, s.cys)
-					if s.assign[i] != best {
-						s.assign[i] = best
-						chunkChanged = true
-					}
-				}
-			}
-			if chunkChanged {
-				s.changed[lo/assignChunk] = true
-			}
+			s.changed[lo/assignChunk] = s.assignRange(lo, min(lo+assignChunk, n))
 		}
-		for _, c := range s.changed {
-			if c {
-				return true
-			}
-		}
-		return false
+	} else {
+		par.Chunks(workers, n, assignChunk, func(lo, hi int) {
+			s.changed[lo/assignChunk] = s.assignRange(lo, hi)
+		})
 	}
-	par.Chunks(workers, n, assignChunk, func(lo, hi int) {
-		chunkChanged := false
-		if useGrid {
-			for i := lo; i < hi; i++ {
-				best := s.grid.nearest(s.xs[i], s.ys[i], s.cxs, s.cys, s.assign[i])
-				if s.assign[i] != best {
-					s.assign[i] = best
-					chunkChanged = true
-				}
+	return slices.Contains(s.changed, true)
+}
+
+// assignRange assigns points [lo,hi) and reports whether any assignment
+// changed. It is the one per-point path of both the inline and the pooled
+// loop.
+//
+// ub[i] bounds from above the distance from point i to its centroid a, and
+// lb[i] bounds from below its distance to every other centroid. When the
+// centroids move, the triangle inequality shifts them: ub grows by a's own
+// move, lb shrinks by the largest move among the others. If ub + ε < lb
+// still holds, a is strictly nearest (boundsEps), so the search is skipped;
+// otherwise ub is first tightened to the exact distance and tested again.
+// Only a point that fails both runs the full search, which yields fresh
+// bounds: its best distance, and the lesser of its second-best distance and
+// the distance the search proved nothing unscanned can undercut.
+func (s *kmScratch) assignRange(lo, hi int) bool {
+	xs := s.xs[lo:hi]
+	ys, assign := s.ys[lo:hi][:len(xs)], s.assign[lo:hi][:len(xs)]
+	ubs, lbs := s.ub[lo:hi][:len(xs)], s.lb[lo:hi][:len(xs)]
+	cxs, cys, move, eps, mv1, mv2, mvArg := s.cxs, s.cys, s.move, s.eps, s.mv1, s.mv2, s.mvArg
+	changed := false
+	for i, px := range xs {
+		py, a := ys[i], assign[i]
+		if s.bounded {
+			ub, lb := ubs[i]+move[a], lbs[i]-mv1
+			if a == mvArg {
+				lb = lbs[i] - mv2
 			}
-		} else {
-			for i := lo; i < hi; i++ {
-				best := bruteNearest(s.xs[i], s.ys[i], s.cxs, s.cys)
-				if s.assign[i] != best {
-					s.assign[i] = best
-					chunkChanged = true
-				}
+			if ub+eps >= lb {
+				dx, dy := px-cxs[a], py-cys[a]
+				ub = math.Sqrt(dx*dx + dy*dy)
+			}
+			if ub+eps < lb {
+				ubs[i], lbs[i] = ub, lb
+				continue
 			}
 		}
-		if chunkChanged {
-			s.changed[lo/assignChunk] = true
+		var best int
+		var bestD2, lb2 float64
+		switch {
+		case s.ref:
+			best = bruteNearest(px, py, cxs, cys)
+		case s.useGrid:
+			best, bestD2, lb2 = s.grid.nearest(px, py, cxs, cys, a)
+		default:
+			best, bestD2, lb2 = bruteNearestTwo(px, py, cxs, cys)
 		}
-	})
-	for _, c := range s.changed {
-		if c {
-			return true
+		ubs[i], lbs[i] = math.Sqrt(bestD2), math.Sqrt(lb2)
+		if best != a {
+			assign[i] = best
+			changed = true
 		}
 	}
-	return false
+	return changed
 }
 
 // bruteNearest is the reference O(k) scan; first minimum wins, which equals
@@ -400,6 +507,22 @@ func bruteNearest(px, py float64, cxs, cys []float64) int {
 		}
 	}
 	return best
+}
+
+// bruteNearestTwo is bruteNearest that also returns the best squared
+// distance and the second-smallest one (+Inf for a single centroid), which
+// seed the point's bounds.
+func bruteNearestTwo(px, py float64, cxs, cys []float64) (best int, bestD2, secD2 float64) {
+	bestD2, secD2 = math.Inf(1), math.Inf(1)
+	for c := range cxs {
+		dx, dy := px-cxs[c], py-cys[c]
+		if d2 := dx*dx + dy*dy; d2 < bestD2 {
+			best, bestD2, secD2 = c, d2, bestD2
+		} else if d2 < secD2 {
+			secD2 = d2
+		}
+	}
+	return best, bestD2, secD2
 }
 
 // recompute rebuilds the centroid set from the current assignment, in place
@@ -467,10 +590,19 @@ func balance(s *kmScratch, n, k, target int) {
 		// Evict points farthest from the centroid first.
 		m := memberOf(c)
 		ccx, ccy := s.cxs[c], s.cys[c]
-		sort.Slice(m, func(i, j int) bool {
-			dxi, dyi := s.xs[m[i]]-ccx, s.ys[m[i]]-ccy
-			dxj, dyj := s.xs[m[j]]-ccx, s.ys[m[j]]-ccy
-			return dxi*dxi+dyi*dyi < dxj*dxj+dyj*dyj
+		// slices.SortFunc sorts m in place without boxing it on the heap,
+		// and its pdqsort is sort.Slice's (one template generates both), so
+		// distance ties keep the order the golden metrics pin.
+		slices.SortFunc(m, func(i, j int) int {
+			dxi, dyi := s.xs[i]-ccx, s.ys[i]-ccy
+			dxj, dyj := s.xs[j]-ccx, s.ys[j]-ccy
+			switch di, dj := dxi*dxi+dyi*dyi, dxj*dxj+dyj*dyj; {
+			case di < dj:
+				return -1
+			case dj < di:
+				return 1
+			}
+			return 0
 		})
 		for len(m) > capSize {
 			p := m[len(m)-1]

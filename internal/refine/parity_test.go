@@ -16,7 +16,8 @@ import (
 // trees of C1..C5 under the four table2-mono variants, with one worker and
 // with two, once with the incremental trials and once with every trial and
 // ranking refresh done by the full pass. The reports and the end-point
-// buffers placed must be identical.
+// buffers placed must be identical, and a run that triggers but accepts
+// nothing must report After equal to Before and to a fresh evaluation.
 func TestRefineMatchesFullPassOracle(t *testing.T) {
 	tc := tech.ASAP7()
 	variants := []struct {
@@ -28,7 +29,7 @@ func TestRefineMatchesFullPassOracle(t *testing.T) {
 		{"fo600", core.Options{FanoutThreshold: 600}},
 		{"single", core.Options{Mode: core.SingleSide}},
 	}
-	attempted := 0
+	attempted, idle := 0, 0
 	for _, id := range []string{"C1", "C2", "C3", "C4", "C5"} {
 		for _, v := range variants {
 			t.Run(id+"/"+v.name, func(t *testing.T) {
@@ -58,12 +59,27 @@ func TestRefineMatchesFullPassOracle(t *testing.T) {
 						}
 					}
 					attempted += grep.Attempted
+					if grep.Triggered && grep.Inserted == 0 {
+						// A triggered run that accepted nothing reports
+						// the untouched tree: After must be what a fresh
+						// evaluation of it gives, which is Before.
+						fresh, err := eval.New(tc, eval.Elmore).Evaluate(got)
+						if err != nil {
+							t.Fatal(err)
+						}
+						sameMetrics(t, "after (nothing inserted) vs fresh", &grep.After, fresh)
+						sameMetrics(t, "after (nothing inserted) vs before", &grep.After, &grep.Before)
+						idle++
+					}
 				}
 			})
 		}
 	}
 	if !testing.Short() && attempted == 0 {
 		t.Fatal("no variant attempted a refinement trial")
+	}
+	if !testing.Short() && idle == 0 {
+		t.Fatal("no variant triggered refinement and accepted nothing")
 	}
 }
 

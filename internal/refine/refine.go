@@ -274,6 +274,11 @@ func RefineContext(ctx context.Context, t *ctree.Tree, tc *tech.Tech, p Params) 
 	if ctxErr != nil {
 		return nil, fmt.Errorf("refine: %w", ctxErr)
 	}
+	if rep.Inserted == 0 {
+		// Nothing was accepted, so the tree is still the one Before
+		// measured and After (already *before) holds it bit for bit.
+		return rep, nil
+	}
 
 	// Apply the committed end-point buffers to the tree and report the
 	// exact final metrics from a standard evaluation.
